@@ -5,6 +5,8 @@
 #include <limits>
 #include <stdexcept>
 
+#include "util/checked_math.h"
+
 namespace hs {
 
 namespace {
@@ -25,6 +27,18 @@ std::int64_t ParseInt64(const std::string& key, const std::string& value) {
   } catch (const std::exception&) {
     throw std::invalid_argument("bad integer for '" + key + "': " + value);
   }
+}
+
+/// An int-typed job field: a value outside int's range is refused rather
+/// than silently narrowed (size=4294967312 must not become size=16).
+int GetIntField(const Request& req, const std::string& key, int def) {
+  const std::int64_t value = req.GetInt(key, def);
+  if (value < std::numeric_limits<int>::min() ||
+      value > std::numeric_limits<int>::max()) {
+    throw std::invalid_argument("'" + key + "=" + std::to_string(value) +
+                                "' is out of range");
+  }
+  return static_cast<int>(value);
 }
 
 std::string WireClassName(JobClass klass) {
@@ -150,7 +164,13 @@ SimTime Request::GetTime(const std::string& key, SimTime now, SimTime def) const
   for (const auto& [k, v] : args_) {
     if (k != key) continue;
     if (!v.empty() && v[0] == '+') {
-      return now + ParseInt64(key, v.substr(1));
+      const std::optional<std::int64_t> at =
+          CheckedMulAdd(ParseInt64(key, v.substr(1)), 1, now);
+      if (!at.has_value()) {
+        throw std::invalid_argument("'" + key + "=" + v + "' overflows from now=" +
+                                    std::to_string(now));
+      }
+      return *at;
     }
     return ParseInt64(key, v);
   }
@@ -201,14 +221,18 @@ std::string FormatJobFields(const JobRecord& job, bool with_id) {
 JobRecord ParseJobFields(const Request& req, SimTime now) {
   JobRecord job;
   job.klass = ParseWireClass(req.GetString("class", "rigid"));
-  job.size = static_cast<int>(req.GetInt("size", 0));
-  job.min_size = static_cast<int>(req.GetInt("min", job.size));
+  job.size = GetIntField(req, "size", 0);
+  job.min_size = GetIntField(req, "min", job.size);
   job.submit_time = req.GetTime("submit", now, now + 1);
   job.compute_time = req.GetTime("compute", 0, 0);
   job.estimate = req.GetTime("estimate", 0, 0);
   job.setup_time = req.GetTime("setup", 0, 0);
-  job.project = static_cast<std::int32_t>(req.GetInt("project", -1));
-  if (job.estimate == 0) job.estimate = job.setup_time + job.compute_time;
+  job.project = GetIntField(req, "project", -1);
+  if (job.estimate == 0) {
+    // An overflowing default is left for JobRecord::Validate() to reject.
+    job.estimate =
+        CheckedMulAdd(job.setup_time, 1, job.compute_time).value_or(kNever);
+  }
   const bool has_notice = req.Has("notice");
   const bool has_predicted = req.Has("predicted");
   if (has_notice != has_predicted) {

@@ -182,10 +182,10 @@ WireResponse HandleAdvance(ServiceSession& session, const Request& req) {
           false};
 }
 
-/// The prepare half of `whatif`: validates the request and builds the
-/// private session copies (fork/replay) with the probe submitted. The
-/// concurrent server calls this under the read lock; stepping the copies
-/// (FinishWhatIf) happens with no lock held.
+/// The prepare half of `whatif`: validates the request, forks the live
+/// session and takes the replay basis (ServiceSession::PrepareWhatIf). The
+/// concurrent server calls this under the read lock; the replays and the
+/// probe runs (FinishWhatIf) happen with no lock held.
 std::vector<WhatIfRun> PrepareWhatIfRuns(const ServiceSession& session,
                                          const Request& req,
                                          const DispatchOptions& options) {
@@ -203,8 +203,7 @@ WireResponse FinishWhatIf(std::vector<WhatIfRun> runs) {
   WireResponse resp;
   resp.lines.push_back("ok n=" + std::to_string(runs.size()));
   for (WhatIfRun& run : runs) {
-    resp.lines.push_back(FormatWhatIfAnswer(
-        RunUntilStarted(*run.session, run.probe, std::move(run.mechanism))));
+    resp.lines.push_back(FormatWhatIfAnswer(RunWhatIf(std::move(run))));
   }
   resp.lines.push_back("end");
   return resp;
@@ -352,13 +351,13 @@ bool ScheduleServer::HandleOne(Socket& client, const std::string& line) {
         const Request req = Request::Parse(line);
         runs = PrepareWhatIfRuns(*session_, req, DispatchOptions{});
       }
-      // Step the private copies with no lock held: a slow probe never
-      // blocks the writer or other readers.
+      // Replay and step the private copies with no lock held: a slow probe
+      // or a mechanisms=all replay never blocks the writer or other readers.
       resp = FinishWhatIf(std::move(runs));
     } catch (const std::exception& e) {
       resp = {{Err(e.what())}, false};
     }
-    for (const std::string& out : resp.lines) SendLine(client, out);
+    SendLines(client, resp.lines);
     return false;
   }
   WireResponse resp;
@@ -369,7 +368,7 @@ bool ScheduleServer::HandleOne(Socket& client, const std::string& line) {
     std::shared_lock<std::shared_mutex> lock(session_mutex_);
     resp = HandleRequestLine(*session_, line);
   }
-  for (const std::string& out : resp.lines) SendLine(client, out);
+  SendLines(client, resp.lines);
   if (resp.shutdown) RequestStop();
   return resp.shutdown;
 }

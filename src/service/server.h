@@ -13,8 +13,9 @@
 //     advance/restore) take it exclusively — the op log totally orders
 //     them, so snapshot-replay stays the oracle — while read verbs
 //     (ping/query-*/snapshot) share it and never queue behind each other;
-//   * `whatif` forks/replays under the read lock, then steps the private
-//     copies with no lock held — a long probe never blocks the writer;
+//   * `whatif` forks the live session and copies a replay basis under the
+//     read lock, then replays and steps the private copies with no lock
+//     held — a long probe or replay never blocks the writer;
 //   * `watch` streams metric ticks from its own connection thread,
 //     sampling under the read lock and sleeping off it;
 //   * per-connection send/recv failures drop that connection only.

@@ -48,6 +48,34 @@ WhatIfAnswer RunUntilStarted(SimulationSession& session, JobId probe,
   return answer;
 }
 
+WhatIfAnswer RunWhatIf(WhatIfRun run) {
+  if (run.session == nullptr) run.session = run.basis->Replay(run.mechanism);
+  const JobId probe = run.session->SubmitJob(run.probe);
+  return RunUntilStarted(*run.session, probe, std::move(run.mechanism));
+}
+
+std::unique_ptr<SimulationSession> ReplayBasis::Replay(
+    const std::string& mechanism) const {
+  SimSpec replay_spec = spec;
+  replay_spec.mechanism = mechanism;
+  auto session =
+      std::make_unique<SimulationSession>(replay_spec, *base_trace, headroom);
+  for (const SessionOp& op : ops) {
+    session->StepTo(op.at);
+    if (op.kind == SessionOp::Kind::kSubmit) {
+      const JobId got = session->SubmitJob(op.job);
+      if (got != op.job.id) {
+        throw std::logic_error("op-log replay assigned id " + std::to_string(got) +
+                               ", live session had " + std::to_string(op.job.id));
+      }
+    } else {
+      session->CancelJob(op.target);
+    }
+  }
+  session->StepTo(now);
+  return session;
+}
+
 ServiceSession::ServiceSession(const SimSpec& spec, std::size_t online_headroom)
     : spec_(spec),
       headroom_(online_headroom),
@@ -115,10 +143,7 @@ std::vector<WhatIfAnswer> ServiceSession::WhatIf(
   std::vector<WhatIfRun> runs = PrepareWhatIf(probe, mechanisms, force_replay);
   std::vector<WhatIfAnswer> answers;
   answers.reserve(runs.size());
-  for (WhatIfRun& run : runs) {
-    answers.push_back(
-        RunUntilStarted(*run.session, run.probe, std::move(run.mechanism)));
-  }
+  for (WhatIfRun& run : runs) answers.push_back(RunWhatIf(std::move(run)));
   return answers;
 }
 
@@ -126,18 +151,28 @@ std::vector<WhatIfRun> ServiceSession::PrepareWhatIf(
     const JobRecord& probe, const std::vector<std::string>& mechanisms,
     bool force_replay) const {
   const std::string live_mech = CanonicalMechanismName(spec_.mechanism);
+  std::shared_ptr<const ReplayBasis> basis;  // one copy shared by all replays
   std::vector<WhatIfRun> runs;
   runs.reserve(mechanisms.size());
   for (const std::string& name : mechanisms) {
     WhatIfRun run;
     run.mechanism = CanonicalMechanismName(name);
-    run.session = (!force_replay && run.mechanism == live_mech)
-                      ? live_->Fork()
-                      : Replay(run.mechanism);
-    run.probe = run.session->SubmitJob(probe);
+    run.probe = probe;
+    if (!force_replay && run.mechanism == live_mech) {
+      run.session = live_->Fork();
+    } else {
+      if (basis == nullptr) {
+        basis = std::make_shared<const ReplayBasis>(TakeReplayBasis());
+      }
+      run.basis = basis;
+    }
     runs.push_back(std::move(run));
   }
   return runs;
+}
+
+ReplayBasis ServiceSession::TakeReplayBasis() const {
+  return {spec_, headroom_, base_trace_, ops_, live_->now()};
 }
 
 void ServiceSession::ReplaceWith(ServiceSession&& other) {
@@ -146,27 +181,6 @@ void ServiceSession::ReplaceWith(ServiceSession&& other) {
   base_trace_ = std::move(other.base_trace_);
   live_ = std::move(other.live_);
   ops_ = std::move(other.ops_);
-}
-
-std::unique_ptr<SimulationSession> ServiceSession::Replay(
-    const std::string& mechanism) const {
-  SimSpec spec = spec_;
-  spec.mechanism = mechanism;
-  auto session = std::make_unique<SimulationSession>(spec, *base_trace_, headroom_);
-  for (const SessionOp& op : ops_) {
-    session->StepTo(op.at);
-    if (op.kind == SessionOp::Kind::kSubmit) {
-      const JobId got = session->SubmitJob(op.job);
-      if (got != op.job.id) {
-        throw std::logic_error("op-log replay assigned id " + std::to_string(got) +
-                               ", live session had " + std::to_string(op.job.id));
-      }
-    } else {
-      session->CancelJob(op.target);
-    }
-  }
-  session->StepTo(live_->now());
-  return session;
 }
 
 std::string ServiceSession::SnapshotText() const {

@@ -55,14 +55,30 @@ struct WhatIfAnswer {
 /// at 17 significant digits — the byte-deterministic response format.
 std::string FormatWhatIfAnswer(const WhatIfAnswer& answer);
 
-/// One prepared what-if run: a private copy of the live state (fork or
-/// op-log replay) with the probe already submitted. Preparing is cheap and
-/// reads the live session; running (RunUntilStarted) touches only the copy,
-/// so a concurrent server steps it off-thread without holding any lock.
+/// Everything an op-log replay reads from a ServiceSession: copying it is
+/// cheap (the base trace is shared, immutable), so a concurrent server
+/// takes it under the session read lock and replays with no lock held —
+/// later submits, cancels and restores on the live session cannot reach it.
+struct ReplayBasis {
+  SimSpec spec;
+  std::size_t headroom = 0;
+  std::shared_ptr<const Trace> base_trace;
+  std::vector<SessionOp> ops;
+  SimTime now = 0;
+
+  /// Cold session under `mechanism` with the op log replayed to `now`.
+  std::unique_ptr<SimulationSession> Replay(const std::string& mechanism) const;
+};
+
+/// One prepared what-if run: either a Fork() of the live state (the live
+/// mechanism) or a replay basis to rebuild it from. Preparing is cheap and
+/// reads the live session; RunWhatIf() touches only private copies, so a
+/// concurrent server runs it without holding any lock.
 struct WhatIfRun {
   std::string mechanism;                       // canonical name
-  std::unique_ptr<SimulationSession> session;  // private copy, probe in
-  JobId probe = kNoJob;
+  std::unique_ptr<SimulationSession> session;  // fork path: private copy
+  std::shared_ptr<const ReplayBasis> basis;    // replay path (session null)
+  JobRecord probe;
 };
 
 /// Runs `session` forward until `probe` first starts (or the event queue
@@ -71,6 +87,10 @@ struct WhatIfRun {
 /// means exactly one thing everywhere.
 WhatIfAnswer RunUntilStarted(SimulationSession& session, JobId probe,
                              std::string mechanism);
+
+/// Answers one prepared run: replays from its basis when it has no fork,
+/// submits the probe to the private copy, and runs it to the probe's start.
+WhatIfAnswer RunWhatIf(WhatIfRun run);
 
 class ServiceSession {
  public:
@@ -123,13 +143,16 @@ class ServiceSession {
                                    const std::vector<std::string>& mechanisms,
                                    bool force_replay = false) const;
 
-  /// The prepare half of WhatIf(): builds the private copies and submits
-  /// the probe, but does not step them. The concurrent server calls this
-  /// under the session read lock, then RunUntilStarted()s each run with no
-  /// lock held (the copies are private).
+  /// The prepare half of WhatIf(): forks the live session for the live
+  /// mechanism and takes one shared replay basis for the others, but builds
+  /// and steps nothing else. The concurrent server calls this under the
+  /// session read lock, then RunWhatIf()s each run with no lock held.
   std::vector<WhatIfRun> PrepareWhatIf(const JobRecord& probe,
                                        const std::vector<std::string>& mechanisms,
                                        bool force_replay = false) const;
+
+  /// Copies what an op-log replay needs (see ReplayBasis).
+  ReplayBasis TakeReplayBasis() const;
 
   /// Becomes `other` (the `restore path=` verb): spec, trace, live state
   /// and op log are all taken over; `other` is left moved-from.
@@ -145,9 +168,6 @@ class ServiceSession {
   static std::unique_ptr<ServiceSession> RestoreFrom(const std::string& path);
 
  private:
-  /// Cold session under `mechanism` with the op log replayed to now().
-  std::unique_ptr<SimulationSession> Replay(const std::string& mechanism) const;
-
   SimSpec spec_;
   std::size_t headroom_;
   std::shared_ptr<const Trace> base_trace_;

@@ -31,6 +31,16 @@ sockaddr_in LoopbackAddr(std::uint16_t port) {
   return addr;
 }
 
+/// Turns Nagle's algorithm off on a connected socket. Every message is one
+/// write (SendLines), so Nagle has no small segments to coalesce; it would
+/// only hold a reply back until the peer's delayed ACK arrives.
+void SetNoDelay(int fd, const std::string& who) {
+  const int one = 1;
+  if (::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one)) != 0) {
+    Fail(who + ": setsockopt(TCP_NODELAY)");
+  }
+}
+
 /// poll(2) on one fd for `events`, EINTR-safe against a fixed deadline.
 /// Returns the revents (0 on timeout). `timeout_ms` < 0 blocks forever.
 int PollFd(int fd, short events, int timeout_ms) {
@@ -178,10 +188,20 @@ void ShutdownFd(int fd) {
   if (fd >= 0) ::shutdown(fd, SHUT_RDWR);
 }
 
+void SendLines(Socket& socket, const std::vector<std::string>& lines) {
+  std::size_t size = 0;
+  for (const std::string& line : lines) size += line.size() + 1;
+  std::string framed;
+  framed.reserve(size);
+  for (const std::string& line : lines) {
+    framed += line;
+    framed += '\n';
+  }
+  if (!framed.empty()) socket.SendAll(framed);
+}
+
 void SendLine(Socket& socket, std::string_view line) {
-  std::string framed(line);
-  framed += '\n';
-  socket.SendAll(framed);
+  SendLines(socket, {std::string(line)});
 }
 
 Socket ConnectLoopback(std::uint16_t port) {
@@ -192,6 +212,7 @@ Socket ConnectLoopback(std::uint16_t port) {
   if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
     Fail("ConnectLoopback: connect to 127.0.0.1:" + std::to_string(port));
   }
+  SetNoDelay(fd, "ConnectLoopback");
   return sock;
 }
 
@@ -219,6 +240,7 @@ Socket ConnectTcp(const std::string& host, std::uint16_t port,
     if (connect_timeout_s <= 0.0) {
       if (::connect(fd, ai->ai_addr, ai->ai_addrlen) == 0) {
         ::freeaddrinfo(res);
+        SetNoDelay(fd, "ConnectTcp " + label);
         return sock;
       }
       last_error = std::string("connect: ") + std::strerror(errno);
@@ -257,6 +279,7 @@ Socket ConnectTcp(const std::string& host, std::uint16_t port,
       continue;
     }
     ::freeaddrinfo(res);
+    SetNoDelay(fd, "ConnectTcp " + label);
     return sock;
   }
   ::freeaddrinfo(res);
@@ -288,7 +311,11 @@ TcpListener::TcpListener(std::uint16_t port, bool bind_any) {
 Socket TcpListener::Accept() {
   for (;;) {
     const int fd = ::accept(listen_.fd(), nullptr, nullptr);
-    if (fd >= 0) return Socket(fd);
+    if (fd >= 0) {
+      Socket conn(fd);
+      SetNoDelay(fd, "TcpListener::Accept");
+      return conn;
+    }
     if (errno == EINTR) continue;
     Fail("TcpListener::Accept");
   }

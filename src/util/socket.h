@@ -2,10 +2,14 @@
 // experiment fabric.
 //
 // Deliberately tiny: IPv4, blocking I/O by default, newline-delimited text
-// messages. Loopback is the default posture (the service is a local
-// co-process, like hs_worker); the fabric additionally needs real-host
-// connects (ConnectTcp) and bounded reads (RecvLineWithTimeout) so a
-// half-open or wedged peer can never hang the orchestrator forever.
+// messages. Every connected socket has TCP_NODELAY set, and a multi-line
+// message goes out as one write (SendLines): a request/reply protocol gains
+// nothing from Nagle's algorithm, which would hold a reply's second write
+// until the peer's delayed ACK arrives (~40 ms on Linux loopback).
+// Loopback is the default posture (the service is a local co-process,
+// like hs_worker); the fabric additionally needs real-host connects
+// (ConnectTcp) and bounded reads (RecvLineWithTimeout) so a half-open or
+// wedged peer can never hang the orchestrator forever.
 // Errors throw std::runtime_error naming the failing call, matching the
 // subprocess.h / file_util.h idiom.
 #pragma once
@@ -14,6 +18,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 namespace hs {
 
@@ -69,7 +74,12 @@ class Socket {
   std::string buf_;  // bytes received past the last returned line
 };
 
-/// Sends `line` + '\n'.
+/// Sends each of `lines` + '\n', framed into one buffer and written with one
+/// SendAll: the message's bytes are unchanged, only the write boundaries
+/// are. An empty list writes nothing.
+void SendLines(Socket& socket, const std::vector<std::string>& lines);
+
+/// Sends `line` + '\n' (the one-line case of SendLines).
 void SendLine(Socket& socket, std::string_view line);
 
 /// shutdown(2)s both directions of `fd` without closing it — wakes a thread
@@ -78,15 +88,17 @@ void SendLine(Socket& socket, std::string_view line);
 /// long as the owner has not closed it yet.
 void ShutdownFd(int fd);
 
-/// Connects to 127.0.0.1:`port`; throws std::runtime_error on failure.
+/// Connects to 127.0.0.1:`port` (TCP_NODELAY set); throws
+/// std::runtime_error on failure.
 Socket ConnectLoopback(std::uint16_t port);
 
 /// Connects to `host`:`port` (IPv4; numeric or resolvable name). A
 /// `connect_timeout_s` > 0 bounds the connect itself (non-blocking connect
 /// + poll, then the socket is returned to blocking mode); 0 uses the OS
-/// default. Throws std::runtime_error naming host:port on failure or
-/// timeout — a dead agent must surface quickly, not after the kernel's
-/// multi-minute SYN retry schedule.
+/// default. The connected socket has TCP_NODELAY set. Throws
+/// std::runtime_error naming host:port on failure or timeout — a dead
+/// agent must surface quickly, not after the kernel's multi-minute SYN
+/// retry schedule.
 Socket ConnectTcp(const std::string& host, std::uint16_t port,
                   double connect_timeout_s = 0.0);
 
@@ -100,7 +112,8 @@ class TcpListener {
 
   std::uint16_t port() const { return port_; }
 
-  /// Blocks for the next connection; throws on listener failure.
+  /// Blocks for the next connection (TCP_NODELAY set); throws on listener
+  /// failure.
   Socket Accept();
 
  private:

@@ -1,5 +1,7 @@
 #include "workload/job.h"
 
+#include "util/checked_math.h"
+
 namespace hs {
 
 const char* ToString(JobClass klass) {
@@ -28,14 +30,26 @@ std::string JobRecord::Validate() const {
   if (!is_malleable() && min_size != size) return "min_size != size for non-malleable job";
   if (compute_time <= 0) return "compute_time must be positive";
   if (setup_time < 0) return "setup_time must be non-negative";
-  if (estimate < setup_time + compute_time) return "estimate below setup+compute";
+  const std::optional<std::int64_t> wall = CheckedMulAdd(setup_time, 1, compute_time);
+  if (!wall.has_value()) return "setup+compute overflows";
+  if (estimate < *wall) return "estimate below setup+compute";
+  if (estimate > kMaxJobTime) return "estimate above the 2^40 s bound";
+  // estimate >= setup + compute, so this also bounds total_work() and the
+  // scheduler's (estimate - setup) * size.
+  if (!CheckedMulAdd(estimate, size, 0).has_value()) {
+    return "node-seconds (estimate * size) overflow";
+  }
   if (submit_time < 0) return "submit_time must be non-negative";
+  if (submit_time > kMaxJobTime) return "submit_time above the 2^40 s bound";
   if (is_on_demand()) {
     if (notice == NoticeClass::kNone) {
       if (notice_time != kNever) return "no-notice job carries a notice_time";
     } else {
       if (notice_time == kNever || predicted_arrival == kNever)
         return "noticed job missing notice_time/predicted_arrival";
+      if (notice_time < -kMaxJobTime || predicted_arrival < -kMaxJobTime ||
+          predicted_arrival > kMaxJobTime)
+        return "notice_time/predicted_arrival outside the 2^40 s bound";
       if (notice_time > submit_time) return "notice_time after actual arrival";
       if (notice_time > predicted_arrival) return "notice_time after predicted arrival";
       if (notice == NoticeClass::kAccurate && predicted_arrival != submit_time)

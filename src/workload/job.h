@@ -26,6 +26,11 @@ enum class NoticeClass : std::uint8_t {
   kLate = 3,      // arrives within 30 min after the predicted arrival
 };
 
+/// Largest duration or timestamp a valid JobRecord carries: 2^40 s, about
+/// 34,800 years — far past any real workload, and small enough that the
+/// simulator's sums of a few job times can never overflow SimTime.
+inline constexpr SimTime kMaxJobTime = SimTime{1} << 40;
+
 const char* ToString(JobClass klass);
 const char* ToString(NoticeClass notice);
 
@@ -68,7 +73,10 @@ struct JobRecord {
   }
 
   /// Validates internal consistency; returns an empty string when valid,
-  /// otherwise a description of the first violated constraint.
+  /// otherwise a description of the first violated constraint. A valid
+  /// record's times are within kMaxJobTime and its node-seconds
+  /// (estimate * size, which bounds total_work()) fit in int64, so the
+  /// scheduler's job arithmetic cannot overflow.
   std::string Validate() const;
 };
 

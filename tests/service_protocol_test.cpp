@@ -194,6 +194,31 @@ TEST(DispatcherTest, ErrorsComeBackAsErrLinesNeverThrows) {
   }
 }
 
+// A compute time whose node-seconds overflow int64 used to pass
+// validation and overflow inside the scheduler; it must be refused at the
+// door (and this test must stay clean under ASan/UBSan).
+TEST(DispatcherTest, OverflowingJobFieldsAreRejected) {
+  ServiceSession session = TinyService();
+  for (const char* bad : {
+           "submit class=rigid size=16 compute=900327023270234928 submit=+60",
+           "submit class=rigid size=16 compute=9223372036854775000 "
+           "setup=9223372036854775000 submit=+60",
+           "submit class=rigid size=16 compute=60 submit=+9223372036854775807",
+           "submit class=rigid size=4294967312 compute=60 submit=+60",
+           "whatif mechanisms=baseline size=16 compute=900327023270234928 "
+           "submit=+60",
+       }) {
+    const WireResponse resp = HandleRequestLine(session, bad);
+    ASSERT_EQ(resp.lines.size(), 1u) << bad;
+    EXPECT_EQ(resp.lines[0].rfind("err msg=", 0), 0u) << bad << " -> "
+                                                      << resp.lines[0];
+  }
+  EXPECT_EQ(session.ops_logged(), 0u);
+  // The session is still healthy afterwards.
+  EXPECT_EQ(HandleRequestLine(session, "advance by=3600").lines[0].rfind("ok now=3600", 0),
+            0u);
+}
+
 TEST(DispatcherTest, WhatIfFramesAnswersWithSentinel) {
   ServiceSession session = TinyService();
   HandleRequestLine(session, "advance to=7200");

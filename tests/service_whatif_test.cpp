@@ -144,6 +144,29 @@ TEST(ServiceWhatIfTest, ForkPathEqualsReplayPath) {
   EXPECT_EQ(FormatWhatIfAnswer(forked[0]), FormatWhatIfAnswer(replayed[0]));
 }
 
+// A replay basis is a snapshot: the server takes it under the read lock
+// and replays with no lock held, so a submit that lands on the live session
+// in between must not reach the replay.
+TEST(ServiceWhatIfTest, ReplayBasisIsUnaffectedByLaterSubmits) {
+  ServiceSession service(ServiceSpec("CUP&SPAA"));
+  DriveHistory(service);
+  const JobRecord probe = RigidProbe(service.now() + 10 * kMinute);
+  const std::vector<WhatIfAnswer> before =
+      service.WhatIf(probe, {"N&PAA"}, /*force_replay=*/true);
+  ASSERT_EQ(before.size(), 1u);
+
+  const ReplayBasis basis = service.TakeReplayBasis();
+  JobRecord rival = RigidProbe(service.now() + 5 * kMinute);
+  rival.size = rival.min_size = 1024;
+  service.Submit(rival);
+  ASSERT_EQ(service.ops_logged(), basis.ops.size() + 1);
+
+  std::unique_ptr<SimulationSession> replayed = basis.Replay("N&PAA");
+  const JobId id = replayed->SubmitJob(probe);
+  EXPECT_EQ(FormatWhatIfAnswer(RunUntilStarted(*replayed, id, "N&PAA")),
+            FormatWhatIfAnswer(before[0]));
+}
+
 // An on-demand probe with an advance notice exercises the notice-driven
 // mechanisms' reservation machinery through the what-if path.
 TEST(ServiceWhatIfTest, OnDemandProbeMatchesOracle) {

@@ -1,11 +1,16 @@
 // Loopback socket primitive tests: ephemeral binding, line framing across
-// split writes, CRLF tolerance, EOF semantics, bounded line reads, and
-// partial-write resilience under a slow-draining peer.
+// split writes, CRLF tolerance, EOF semantics, bounded line reads,
+// partial-write resilience under a slow-draining peer, TCP_NODELAY on every
+// connected socket, and multi-line messages in one write (SendLines).
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
 
 #include <chrono>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "util/socket.h"
 
@@ -150,6 +155,47 @@ TEST(SocketTest, SendAllToHungUpPeerThrowsInsteadOfSigpipe) {
         for (int i = 0; i < 10000; ++i) client.SendAll(std::string(4096, 'z'));
       },
       std::runtime_error);
+}
+
+int NoDelayOf(const Socket& socket) {
+  int value = -1;
+  socklen_t len = sizeof(value);
+  EXPECT_EQ(::getsockopt(socket.fd(), IPPROTO_TCP, TCP_NODELAY, &value, &len), 0);
+  return value;
+}
+
+TEST(SocketTest, EveryConnectedSocketHasNagleOff) {
+  TcpListener listener(0);
+  Socket loopback = ConnectLoopback(listener.port());
+  Socket accepted_loopback = listener.Accept();
+  Socket tcp = ConnectTcp("127.0.0.1", listener.port());
+  Socket accepted_tcp = listener.Accept();
+  Socket bounded = ConnectTcp("localhost", listener.port(), /*connect_timeout_s=*/5.0);
+  Socket accepted_bounded = listener.Accept();
+  EXPECT_EQ(NoDelayOf(loopback), 1);
+  EXPECT_EQ(NoDelayOf(accepted_loopback), 1);
+  EXPECT_EQ(NoDelayOf(tcp), 1);
+  EXPECT_EQ(NoDelayOf(accepted_tcp), 1);
+  EXPECT_EQ(NoDelayOf(bounded), 1);
+  EXPECT_EQ(NoDelayOf(accepted_bounded), 1);
+}
+
+TEST(SocketTest, SendLinesDeliversEveryLineInOrder) {
+  const std::string big(6000, 'b');  // one line over 4 KiB (the recv chunk)
+  const std::vector<std::string> message = {"ok n=3", "", big, "tail x=1", "end"};
+  TcpListener listener(0);
+  Socket client = ConnectLoopback(listener.port());
+  Socket peer = listener.Accept();
+
+  SendLines(peer, {});  // an empty message writes nothing
+  SendLines(peer, message);
+  SendLine(peer, "after");
+  for (const std::string& want : message) {
+    EXPECT_EQ(client.RecvLine(), std::optional<std::string>(want));
+  }
+  EXPECT_EQ(client.RecvLine(), std::optional<std::string>("after"));
+  peer.Close();
+  EXPECT_EQ(client.RecvLine(), std::nullopt);
 }
 
 TEST(SocketTest, MovedFromSocketIsInvalid) {

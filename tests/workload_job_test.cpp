@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 namespace hs {
 namespace {
 
@@ -89,6 +91,35 @@ TEST(JobRecordTest, NonOnDemandWithNoticeRejected) {
   auto j = ValidRigid();
   j.notice_time = 10;
   EXPECT_NE(j.Validate(), "");
+}
+
+TEST(JobRecordTest, TimesBeyondTheBoundRejected) {
+  auto j = ValidRigid();
+  j.compute_time = kMaxJobTime;
+  j.setup_time = 0;
+  j.estimate = kMaxJobTime;
+  EXPECT_EQ(j.Validate(), "");  // the bound itself is legal
+  j.estimate = kMaxJobTime + 1;
+  j.compute_time = kMaxJobTime + 1;
+  EXPECT_NE(j.Validate(), "");
+  j = ValidRigid();
+  j.submit_time = kMaxJobTime + 1;
+  EXPECT_NE(j.Validate(), "");
+}
+
+TEST(JobRecordTest, OverflowingArithmeticRejected) {
+  // setup + compute overflows int64.
+  auto j = ValidRigid();
+  j.setup_time = INT64_MAX - 10;
+  j.compute_time = INT64_MAX - 10;
+  j.estimate = INT64_MAX;
+  EXPECT_EQ(j.Validate(), "setup+compute overflows");
+  // Every time within bounds, but estimate * size overflows.
+  j = ValidRigid();
+  j.size = j.min_size = INT32_MAX;
+  j.compute_time = j.estimate = kMaxJobTime;
+  j.setup_time = 0;
+  EXPECT_EQ(j.Validate(), "node-seconds (estimate * size) overflow");
 }
 
 TEST(JobRecordTest, TotalWorkIsComputeTimesSize) {

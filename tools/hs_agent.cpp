@@ -227,29 +227,39 @@ void ServeUnit(Socket& conn, const AgentConfig& config, std::size_t unit_seq) {
   FileTail out_tail(stem + ".jsonl");
   FileTail err_tail(stem + ".stderr");
   bool worker_done = false;
+  // Each drain pass goes out as one write. A network fault first flushes
+  // the frames queued ahead of its cell: the fault contract is that every
+  // frame before the faulted row reaches the wire.
+  std::vector<std::string> frames;
   for (;;) {
-    bool forwarded = false;
+    frames.clear();
     for (const std::string& line : out_tail.Drain()) {
       const long long global = CellIndexOf(line);
       if (global >= 0 && fault.kill_agent_at_cell == global) {
         // A dead host: the whole agent vanishes, taking its worker along
         // (the worker dies with the process group is not guaranteed, so
         // kill it first for hygiene).
+        SendLines(conn, frames);
         proc.Kill();
         proc.Wait();
         std::raise(SIGKILL);
       }
       if (global >= 0 && fault.drop_conn_at_cell == global) {
+        SendLines(conn, frames);
         return;  // Reaper kills the worker; the orchestrator sees EOF
       }
       if (global >= 0 && fault.torn_frame_at_cell == global) {
+        std::string wire;
+        for (const std::string& frame : frames) wire += frame + "\n";
         const std::string framed = "row " + line + "\n";
-        conn.SendAll(std::string_view(framed).substr(0, framed.size() / 2));
+        wire += framed.substr(0, framed.size() / 2);
+        conn.SendAll(wire);
         return;  // torn frame on the wire, then EOF
       }
       if (global >= 0 && fault.stall_at_cell == global) {
         // Keep the connection open but go silent: only the orchestrator's
         // inactivity monitor can end this unit. Its hangup releases us.
+        SendLines(conn, frames);
         proc.Kill();
         proc.Wait();
         while (!conn.PeerClosed()) {
@@ -257,17 +267,15 @@ void ServeUnit(Socket& conn, const AgentConfig& config, std::size_t unit_seq) {
         }
         return;
       }
-      SendLine(conn, "row " + line);
-      forwarded = true;
+      frames.push_back("row " + line);
     }
-    for (const std::string& line : err_tail.Drain()) {
-      if (line.rfind("# hs-progress", 0) == 0) {
-        SendLine(conn, line);  // heartbeats travel verbatim
-      } else {
-        SendLine(conn, "log " + line);
-      }
-      forwarded = true;
+    for (std::string& line : err_tail.Drain()) {
+      // Heartbeats travel verbatim; other stderr lines become diagnostics.
+      frames.push_back(line.rfind("# hs-progress", 0) == 0 ? std::move(line)
+                                                            : "log " + line);
     }
+    SendLines(conn, frames);
+    const bool forwarded = !frames.empty();
     if (worker_done) break;
     if (proc.Poll()) {
       worker_done = true;  // one more drain pass for the final rows
@@ -280,19 +288,20 @@ void ServeUnit(Socket& conn, const AgentConfig& config, std::size_t unit_seq) {
   }
 
   // A trailing unterminated fragment is a torn write: forward it as-is —
-  // the orchestrator's malformed-final-row rule classifies it.
-  if (!out_tail.partial().empty()) SendLine(conn, "row " + out_tail.partial());
+  // the orchestrator's malformed-final-row rule classifies it. It shares
+  // the final write with the terminal status.
+  frames.clear();
+  if (!out_tail.partial().empty()) frames.push_back("row " + out_tail.partial());
 
   const ProcessStatus status = proc.Wait();
   if (!status.spawned) {
-    SendLine(conn, "err msg=worker spawn failed: " + status.error);
-    return;
-  }
-  if (status.signaled) {
-    SendLine(conn, "done signal=" + std::to_string(status.term_signal));
+    frames.push_back("err msg=worker spawn failed: " + status.error);
+  } else if (status.signaled) {
+    frames.push_back("done signal=" + std::to_string(status.term_signal));
   } else {
-    SendLine(conn, "done exit=" + std::to_string(status.exit_code));
+    frames.push_back("done exit=" + std::to_string(status.exit_code));
   }
+  SendLines(conn, frames);
   if (status.ok()) RemoveTreeBestEffort(unit_dir);
 }
 
