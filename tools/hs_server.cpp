@@ -13,6 +13,8 @@
 //
 // Exit status: 0 on clean shutdown; 1 on any error with the reason on
 // stderr.
+#include <malloc.h>
+
 #include <cstdio>
 #include <string>
 
@@ -24,6 +26,17 @@
 
 int main(int argc, char** argv) {
   using namespace hs;
+  // Every whatif forks the live session or replays cold ones, so the server
+  // allocates and frees whole sessions many times a second from its
+  // connection threads. glibc's default thresholds adapt to the order in
+  // which those threads free memory: depending on that order, a run hands
+  // the same megabytes back to the kernel after every replay and faults them
+  // in again (~5x10^4 page faults a second), or does not. Fixed thresholds
+  // keep freed sessions in the heap, so the footprint is the peak working
+  // set and the speed does not depend on thread timing. A failed mallopt
+  // leaves glibc's defaults, which are slower but still correct.
+  mallopt(M_MMAP_THRESHOLD, 32 << 20);
+  mallopt(M_TRIM_THRESHOLD, 256 << 20);
   try {
     const CliArgs args(argc, argv);
     const std::string spec_text = args.GetString("spec", "");
